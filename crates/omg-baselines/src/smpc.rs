@@ -9,9 +9,9 @@
 //! *executed* (and verified against plaintext in the tests) while the
 //! network is *accounted*. The ReLU comparison uses a functionality-level
 //! shortcut with garbled-circuit cost accounting (Yao-style 64-bit
-//! comparison ≈ 2 KiB + 2 rounds per layer) — see `DESIGN.md` for the
-//! substitution note; communication volume, not comparison internals, is
-//! what the reproduction measures.
+//! comparison ≈ 2 KiB + 2 rounds per layer) — see README.md ("Substitutions
+//! and calibration") for the substitution note; communication volume, not
+//! comparison internals, is what the reproduction measures.
 
 use omg_crypto::rng::ChaChaRng;
 use rand::Rng;

@@ -5,7 +5,7 @@
 //! the bounded queue (spinning politely on backpressure), and reports:
 //!
 //! * **virtual throughput** — queries / busiest-device virtual time, the
-//!   same makespan convention the `throughput` bench uses for `Fleet`.
+//!   same makespan convention the `throughput` bench uses for its fleet.
 //!   Devices model independent hardware and the virtual clock charges each
 //!   device only the CPU its own computation consumed, so this is the
 //!   scaling a real N-device install base would see even when the bench

@@ -7,8 +7,9 @@
 //!   paper's §V operation mode (resume + park around every query);
 //! * **warm session** — one `QuerySession` serving the whole burst
 //!   (resume once, park once);
-//! * **fleet** — N devices round-robin; throughput is measured against the
-//!   busiest device's virtual clock since devices run concurrently;
+//! * **fleet** — N devices served concurrently by an `omg-serve` fleet;
+//!   throughput is measured against the busiest device's virtual clock
+//!   since devices run concurrently;
 //! * **batched interpreter** — raw `Interpreter::classify` vs
 //!   `classify_batch` on precomputed fingerprints (host wall time; the
 //!   virtual clock does not model interpreter internals).
@@ -22,8 +23,9 @@ use std::time::{Duration, Instant};
 
 use omg_bench::{cached_tiny_conv, paper_test_subset, ModelKind};
 use omg_core::device::expected_enclave_measurement;
-use omg_core::{Fleet, OmgDevice, User, Vendor};
+use omg_core::{provision_devices, OmgDevice, User, Vendor};
 use omg_nn::Interpreter;
+use omg_serve::{ServeConfig, ServeHandle};
 
 struct Config {
     queries: usize,
@@ -114,23 +116,48 @@ fn main() {
         qps(cfg.queries, warm_host)
     );
 
-    // --- fleet: round-robin over N concurrent devices --------------------
+    // --- fleet: N concurrent devices behind omg-serve ---------------------
     let model = cached_tiny_conv(ModelKind::Fast);
-    let mut fleet = Fleet::provision(cfg.fleet_size, "kws", model, 30).expect("fleet");
-    let before: Vec<Duration> = (0..fleet.len())
-        .map(|i| fleet.device(i).expect("device").clock().now())
+    let devices = provision_devices(cfg.fleet_size, "kws", model, 30).expect("fleet");
+    // The clocks are shared handles, so they outlive the devices' move
+    // into the workers and the deltas survive the runtime.
+    let clocks: Vec<_> = devices.iter().map(|d| d.clock()).collect();
+    let fleet = ServeHandle::start(
+        devices,
+        ServeConfig {
+            queue_capacity: cfg.queries,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start fleet");
+    // One warm-up query per worker, so every worker holds an open session
+    // before the clocks are read.
+    let warmup: Vec<_> = (0..cfg.fleet_size)
+        .map(|_| fleet.submit(workload[0]).expect("fleet warm-up"))
         .collect();
-    for samples in &workload {
-        fleet.classify_class(samples).expect("fleet");
+    for p in warmup {
+        p.wait().expect("fleet warm-up");
     }
-    let makespan = (0..fleet.len())
-        .map(|i| fleet.device(i).expect("device").clock().now() - before[i])
+    let before: Vec<Duration> = clocks.iter().map(|c| c.now()).collect();
+    let pending: Vec<_> = workload
+        .iter()
+        .map(|samples| fleet.submit(samples).expect("fleet submit"))
+        .collect();
+    for p in pending {
+        p.wait().expect("fleet");
+    }
+    let drained = fleet.drain();
+    assert!(drained.is_healthy(), "{:?}", drained.worker_errors);
+    let makespan = clocks
+        .iter()
+        .zip(&before)
+        .map(|(c, &b)| c.now() - b)
         .max()
         .unwrap_or(Duration::ZERO);
     let fleet_qps = qps(cfg.queries, makespan);
     println!(
-        "fleet of {} (round-robin):    {fleet_qps:>9.1} q/s virtual  (makespan {:.1} ms)",
-        fleet.len(),
+        "fleet of {} (omg-serve):      {fleet_qps:>9.1} q/s virtual  (makespan {:.1} ms)",
+        cfg.fleet_size,
         makespan.as_secs_f64() * 1e3
     );
 

@@ -56,9 +56,9 @@ pub enum HwEvent {
 
 /// Per-event costs in nanoseconds.
 ///
-/// Defaults follow the calibration table in `DESIGN.md` §7, anchored to the
-/// 0.3 ms round-trip world switch reported by SANCTUARY \[11\] and cited in
-/// the paper's evaluation.
+/// Defaults follow the calibration table in README.md ("Substitutions and
+/// calibration"), anchored to the 0.3 ms round-trip world switch reported
+/// by SANCTUARY \[11\] and cited in the paper's evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// One-way world switch (half of the 0.3 ms round trip).

@@ -506,6 +506,118 @@ mod tests {
     }
 
     #[test]
+    fn histogram_empty_reports_zero() {
+        let h = Histogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.quantiles_ns(&[0.99]), [0]);
+        assert_eq!(h.mean_ns(), 0);
+    }
+
+    #[test]
+    fn histogram_percentiles_come_from_one_snapshot() {
+        // The standard ladder is a single `quantiles_ns` call, so even a
+        // pathological recording pattern can't produce a non-monotone
+        // (p50, p95, p99) triple.
+        let h = Histogram::new();
+        for i in 0..50u64 {
+            h.record_ns(10_000 + i * 97_000);
+        }
+        let qs = h.quantiles_ns(&[0.50, 0.95, 0.99]);
+        assert!(qs[0] <= qs[1] && qs[1] <= qs[2], "{qs:?}");
+        assert!(qs[2] <= h.max_ns());
+    }
+
+    proptest::proptest! {
+        /// For any sample set and any quantile ladder, quantiles are
+        /// monotone in q and never exceed the observed maximum.
+        #[test]
+        fn prop_histogram_quantiles_monotone_and_bounded_by_max(
+            samples in proptest::collection::vec(0u64..120_000_000_000, 1..120),
+            qs in proptest::collection::vec(0.0f64..=1.0, 2..12),
+        ) {
+            let h = Histogram::new();
+            for &ns in &samples {
+                h.record_ns(ns);
+            }
+            let mut ladder = qs;
+            ladder.sort_by(f64::total_cmp);
+            let values = h.quantiles_ns(&ladder);
+            let max = h.max_ns();
+            for pair in values.windows(2) {
+                proptest::prop_assert!(pair[0] <= pair[1], "not monotone: {pair:?}");
+            }
+            for (q, v) in ladder.iter().zip(&values) {
+                proptest::prop_assert!(*v <= max, "q={q}: {v} > max {max}");
+            }
+            // Single-quantile calls agree with the ladder when nothing
+            // records concurrently.
+            for (q, v) in ladder.iter().zip(&values) {
+                proptest::prop_assert_eq!(h.quantiles_ns(&[*q])[0], *v);
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_quantiles_stay_monotone_under_concurrent_recording() {
+        // Writers hammer the histogram while a reader repeatedly takes
+        // quantile ladders; every snapshot must be internally monotone and
+        // bounded by a max read *after* it (max only grows, and the
+        // snapshot clamps against the max at snapshot time).
+        let h = Arc::new(Histogram::new());
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let h = Arc::clone(&h);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let mut i = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        // Spread samples across many buckets, including the
+                        // sparse high end where the clamp matters.
+                        h.record_ns(1_000 * (1 + (i * 7919 + t * 131) % 500_000));
+                        i += 1;
+                    }
+                })
+            })
+            .collect();
+        let ladder = [0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0];
+        for _ in 0..2_000 {
+            let values = h.quantiles_ns(&ladder);
+            let max_after = h.max_ns();
+            for pair in values.windows(2) {
+                assert!(pair[0] <= pair[1], "snapshot not monotone: {values:?}");
+            }
+            assert!(
+                values.iter().all(|v| *v <= max_after),
+                "quantile exceeded max: {values:?} vs {max_after}"
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        for w in writers {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn histogram_concurrent_recording_loses_nothing() {
+        let h = Arc::new(Histogram::new());
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let h = Arc::clone(&h);
+                std::thread::spawn(move || {
+                    for i in 0..10_000u64 {
+                        h.record_ns(1_000 * (t * 1000 + i % 997));
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(h.count(), 40_000);
+    }
+
+    #[test]
     fn prometheus_rendering_shape() {
         let r = Registry::new();
         let c = r.counter("omg_test_total", "total things");

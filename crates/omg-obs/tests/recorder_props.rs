@@ -60,7 +60,9 @@ proptest::proptest! {
     ) {
         let rec = Arc::new(FlightRecorder::new(workers, capacity));
         let cap = rec.capacity() as u64;
-        let start = Arc::new(Barrier::new(workers + 1));
+        // Writers, reader and this thread all pass one barrier, so the
+        // reader's first snapshot cannot come after the writers finish.
+        let start = Arc::new(Barrier::new(workers + 2));
         let stop = Arc::new(AtomicBool::new(false));
 
         let writer_handles: Vec<_> = (0..workers)
@@ -80,11 +82,18 @@ proptest::proptest! {
         let reader = {
             let rec = Arc::clone(&rec);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
+                // Snapshot first, then check `stop`: at least one snapshot
+                // is taken however fast the writers are.
                 let mut snaps = 0u32;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     snaps += 1;
                     check_consistency(&rec.snapshot(), workers, events, cap);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 snaps
             })

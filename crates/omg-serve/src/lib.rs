@@ -18,20 +18,24 @@
 //!   whose budget expires while queued are shed at dequeue with
 //!   [`ServeError::Expired`] instead of serving doomed work;
 //! * **Latency SLOs** — every query's submit-to-completion latency lands in
-//!   a fixed-bucket log-scale [`histogram::LatencyHistogram`];
-//!   [`ServeStats`] reports throughput, p50/p95/p99, and violations of the
-//!   configured SLO target;
+//!   a fixed-bucket log-scale [`omg_obs::Histogram`] registered with the
+//!   fleet's metrics; [`ServeStats`] reports throughput, p50/p95/p99, and
+//!   violations of the configured SLO target;
 //! * **Graceful drain** — [`ServeHandle::drain`] stops admission, finishes
 //!   every in-flight query, scrubs each worker's enclave arena (no user's
 //!   activations survive the runtime), parks the enclaves, and returns the
 //!   devices for inspection;
-//! * **Self-healing** — with [`ServeConfig::restart`] set, a supervisor
-//!   thread re-provisions a replacement device for every dead worker
+//! * **Supervision** — every fleet runs one supervisor thread that owns the
+//!   workers: it joins each exited worker, registers the death, and only
+//!   then settles the ticket the worker died holding — the single point
+//!   where an unserved ticket resolves (see [`supervisor`]);
+//! * **Self-healing** — with [`ServeConfig::restart`] set, the supervisor
+//!   also re-provisions a replacement device for every dead worker
 //!   through the fleet's warm model cache, governed by a
 //!   [`RestartPolicy`] (exponential backoff, restart budget, crash-loop
 //!   quarantine); [`ServeHandle::health`] exposes the fleet state machine
 //!   and [`ServeHandle::submit_with_retry`] lets callers ride restarts
-//!   out (see [`supervisor`]);
+//!   out;
 //! * **Hang detection** — with [`ServeConfig::hang`] set, the supervisor
 //!   doubles as a liveness watchdog: workers renew per-slot heartbeat
 //!   leases, a wedged worker is *preempted* behind a per-slot generation
@@ -87,11 +91,11 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod histogram;
 pub mod queue;
 pub mod supervisor;
 
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -99,16 +103,17 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use omg_core::session::{provision_devices, provision_devices_with_cache, ModelCache};
+use omg_core::session::{provision_devices_with_cache, ModelCache};
 use omg_core::{OmgDevice, OmgError, Transcription};
 use omg_nn::Model;
-use omg_obs::{Counter, FlightRecorder, Gauge, ObsConfig, Registry, Stage, TraceSnapshot};
+use omg_obs::{
+    Counter, FlightRecorder, Gauge, Histogram, ObsConfig, Registry, Stage, TraceSnapshot,
+};
 
 use fault::{FaultPlan, QueryFault};
-use histogram::LatencyHistogram;
 use queue::{PushError, ShardedQueue};
+use supervisor::{ExitNotice, ReprovisionContext, SlotState, Supervisor};
 pub use supervisor::{FleetHealth, HangPolicy, RestartPolicy, RetryPolicy, WorkerHealth};
-use supervisor::{ReprovisionContext, SlotReport, SlotState, Supervisor, SUPERVISOR_WAKE};
 
 /// Longest *real* sleep a scripted [`QueryFault::Delay`] performs; the full
 /// delay is charged to virtual time (`SimClock::stall`), so scenarios can
@@ -230,9 +235,11 @@ pub struct ServeConfig {
     /// `Some(0)` disables the recorder outright; `Some(n)` forces
     /// capacity `n` regardless of the environment.
     pub recorder_capacity: Option<usize>,
-    /// Optional self-healing supervision (see [`supervisor`]): when set,
-    /// a supervisor thread restarts dead workers on re-provisioned
-    /// devices under this policy. Only honored through
+    /// Optional self-healing (see [`supervisor`]): when set, the fleet's
+    /// supervisor restarts dead workers on re-provisioned devices under
+    /// this policy. `None` means never restart: the supervisor still joins
+    /// every exited worker and settles its ticket, then retires the slot
+    /// as [`WorkerHealth::Dead`]. Only honored through
     /// [`ServeHandle::provision`] — re-provisioning needs the model and
     /// seed, so [`ServeHandle::start`] rejects the knob.
     pub restart: Option<RestartPolicy>,
@@ -321,11 +328,12 @@ impl ResponseSlot {
 /// **Liveness guarantee:** an admitted ticket *always* resolves — waiting
 /// on it can never hang, no matter what happens to the fleet. If the query
 /// is served, the ticket yields the transcription (or the device error).
-/// If the serving worker panics mid-query, the unwinding worker delivers
-/// [`ServeError::WorkerPanicked`]. If the fleet drains (or dies) with the
-/// job still queued, the job's teardown delivers
-/// [`ServeError::ShuttingDown`]. Every such abandoned job is counted in
-/// [`ServeStats::discarded`].
+/// If the serving worker panics mid-query, the supervisor delivers
+/// [`ServeError::WorkerPanicked`] once it has registered the death. If the
+/// fleet drains (or dies) with the job still queued, the teardown sweep
+/// delivers [`ServeError::ShuttingDown`] (or `WorkerPanicked`, when the
+/// fleet died with its last worker's panic). Every such abandoned job is
+/// counted in [`ServeStats::discarded`].
 #[derive(Debug)]
 pub struct Pending {
     slot: Arc<ResponseSlot>,
@@ -416,78 +424,14 @@ struct Job {
     /// worker dequeueing it later sheds it with [`ServeError::Expired`].
     deadline: Option<Instant>,
     slot: Arc<ResponseSlot>,
-    /// Set once a definitive result reached the slot (or the admission
-    /// error return *is* the waiter's answer): teardown then neither
-    /// overwrites the result nor counts the job discarded.
-    resolved: bool,
-    /// The runtime's discard counter, bumped when an unresolved job is
-    /// dropped (worker panic, fleet teardown) — what keeps the accounting
-    /// identity exact through crashes.
-    discarded: Counter,
-    /// The runtime's flight recorder, so the drop path can stamp the
-    /// job's stage of death onto the shared submitter ring.
-    recorder: Option<Arc<FlightRecorder>>,
 }
 
-impl Job {
-    /// Delivers `result` to the waiter with the winner's accounting hook
-    /// (see [`ResponseSlot::fill_with`]); returns whether this completion
-    /// won the slot (false if a watchdog preemption already resolved it).
-    fn complete_with(
-        mut self,
-        result: Result<Transcription, ServeError>,
-        publish: impl FnOnce(),
-    ) -> bool {
-        self.resolved = true;
-        self.slot.fill_with(result, publish)
-    }
-
-    /// Defuses a job bounced at admission: the submit call's error return
-    /// is the waiter's answer, so the drop must not fill the slot or count
-    /// a discard.
-    fn into_rejected(mut self) {
-        self.resolved = true;
-    }
-}
-
-impl Drop for Job {
-    fn drop(&mut self) {
-        // A job dropped without completion (queue torn down, worker
-        // unwinding) must not strand its waiter: deliver the reason the
-        // job died. `std::thread::panicking()` distinguishes a worker
-        // unwinding with the job in hand from orderly teardown.
-        if self.resolved {
-            return;
-        }
-        let panicking = std::thread::panicking();
-        let verdict = if panicking {
-            ServeError::WorkerPanicked
-        } else {
-            ServeError::ShuttingDown
-        };
-        let seq = self.seq;
-        let discarded = &self.discarded;
-        let recorder = &self.recorder;
-        // First-writer-wins: if a watchdog preemption already resolved
-        // this job, it also counted it — counting here too would break
-        // the accounting identity.
-        self.slot.fill_with(Err(verdict), || {
-            discarded.inc();
-            // Stage of death: payload 1 = died in a panicking worker's
-            // hands, 0 = still queued at teardown.
-            if let Some(rec) = recorder {
-                rec.record(rec.rings() - 1, Stage::Discard, seq, u64::from(panicking));
-            }
-        });
-    }
-}
-
-/// What a worker thread hands back when it exits cleanly. (Served-query
+/// How a worker incarnation ended, as its thread returns it: the device
+/// on a clean exit (after the queue closed), the error that killed it
+/// otherwise — [`ServeError::WorkerPanicked`] for a panic. (Served-query
 /// counts live in [`Shared::served`], per slot, so they survive worker
 /// deaths and restarts.)
-pub(crate) struct WorkerExit {
-    pub(crate) device: OmgDevice,
-}
+pub(crate) type WorkerExit = Result<OmgDevice, ServeError>;
 
 /// One slot's heartbeat lease: the liveness contract between a worker
 /// incarnation and the supervisor's watchdog.
@@ -496,10 +440,11 @@ pub(crate) struct WorkerExit {
 /// compute start, and periodically through the stall tick seam; zero
 /// means idle (no query in hand — an idle worker is *never* hung, it is
 /// just parked on an empty queue). The `generation` is the preemption
-/// fence: a worker captures it at loop entry and every renewal is gated
-/// on it still matching, so once the watchdog bumps the generation the
-/// wedged incarnation can no longer stamp, publish stats, or perform
-/// exit bookkeeping — it is a zombie whose effects are all discarded.
+/// fence: a worker incarnation is spawned under the current value and
+/// every renewal is gated on it still matching, so once the watchdog bumps
+/// the generation the wedged incarnation can no longer stamp, publish
+/// stats, or send its exit notice — it is a zombie whose effects are all
+/// discarded.
 pub(crate) struct HeartbeatLease {
     /// Preemption fence, bumped by the watchdog when it declares the slot
     /// hung. Compared (not CAS-raced) by the worker on every publish.
@@ -510,8 +455,8 @@ pub(crate) struct HeartbeatLease {
     /// this slot has stamped across incarnations).
     pub(crate) epoch: AtomicU64,
     /// The in-flight query's (seq, response slot), parked here at dequeue
-    /// so the watchdog can resolve the wedged ticket without touching the
-    /// queue. Cleared at completion.
+    /// so the supervisor can settle the ticket of a worker that dies or
+    /// wedges with it in hand. Cleared at completion.
     pub(crate) current: Mutex<Option<(u64, Arc<ResponseSlot>)>>,
 }
 
@@ -563,39 +508,37 @@ impl HeartbeatLease {
 /// The counters and histograms are registry-backed ([`omg_obs`] handles):
 /// every recording lands simultaneously in [`ServeStats`] and in the
 /// rendered [`ServeHandle::metrics_text`] / [`ServeHandle::metrics_json`]
-/// exports, without a second bookkeeping path.
+/// exports, without a second bookkeeping path. Histograms hold
+/// nanoseconds; [`snapshot_stats`] converts them to `Duration`s.
 pub(crate) struct Shared {
     queue: ShardedQueue<Job>,
     /// End-to-end submit-to-completion latency of *successful* queries.
-    latency: LatencyHistogram,
+    latency: Arc<Histogram>,
     /// Admission-to-dequeue wait of every job a worker picked up.
-    queue_wait: LatencyHistogram,
+    queue_wait: Arc<Histogram>,
     /// Enclave compute time (classify + scrub) of every served query.
-    compute: LatencyHistogram,
+    compute: Arc<Histogram>,
     /// Every submission attempt, accepted or not; doubles as the sequence
     /// allocator, so seq numbers reflect admission order deterministically.
     submitted: Counter,
     rejected: Counter,
     failed: Counter,
     shed: Counter,
-    /// Admitted jobs dropped unresolved (worker panic, fleet teardown).
+    /// Admitted jobs that died unserved (worker panic, hang, teardown).
     discarded: Counter,
     slo_violations: Counter,
     slo: Option<Duration>,
     faults: Option<Arc<FaultPlan>>,
-    /// Workers still running their serve loop. The last worker to exit —
-    /// cleanly or by panic — fails over any jobs still queued, so a waiter
-    /// can never deadlock on a fleet with no one left to serve it (on a
-    /// supervised fleet that terminal sweep belongs to the supervisor,
-    /// which may still be bringing workers back).
+    /// Worker incarnations still serving: decremented by the supervisor
+    /// when it registers a death or preempts a hang.
     live_workers: AtomicU64,
-    /// Whether a supervisor owns this fleet's worker lifecycle.
+    /// Whether the fleet restarts dead workers ([`ServeConfig::restart`]).
     supervised: bool,
-    /// Set once drain begins (or the supervisor terminally closes the
-    /// fleet): from here on worker exits are final and never restarted.
+    /// Set once drain begins: from here on worker exits are final and
+    /// never restarted.
     shutting_down: AtomicBool,
-    /// Per-slot health, written by worker presence guards and the
-    /// supervisor; [`ServeHandle::health`] derives [`FleetHealth`] from it.
+    /// Per-slot health, written by the supervisor; [`ServeHandle::health`]
+    /// derives [`FleetHealth`] from it.
     slot_health: Mutex<Vec<WorkerHealth>>,
     /// Per-slot served-query counters. Kept here (not in worker locals)
     /// so counts survive worker deaths and span restarted incarnations:
@@ -608,7 +551,7 @@ pub(crate) struct Shared {
     /// Caller-side re-submissions via [`ServeHandle::submit_with_retry`].
     retried: Counter,
     /// Death-to-restart recovery time per supervised restart.
-    time_to_recover: LatencyHistogram,
+    time_to_recover: Arc<Histogram>,
     /// Per-slot heartbeat leases (always allocated; only scanned when a
     /// [`HangPolicy`] is installed — stamping is a couple of relaxed
     /// atomics either way).
@@ -619,7 +562,7 @@ pub(crate) struct Shared {
     /// completion race and were discarded by generation check.
     zombie_discards: Counter,
     /// Lease age at hang declaration — the watchdog's detection latency.
-    hang_detect: LatencyHistogram,
+    hang_detect: Arc<Histogram>,
     /// Flight recorder: one ring per worker (single-writer) plus a final
     /// shared ring for submitter-side events. `None` when disabled.
     recorder: Option<Arc<FlightRecorder>>,
@@ -635,6 +578,38 @@ impl Shared {
     /// extra multi-producer ring after the per-worker rings.
     fn submit_ring(rec: &FlightRecorder) -> usize {
         rec.rings() - 1
+    }
+
+    /// Counts one admitted job that died unserved and stamps its stage of
+    /// death on the submitter ring: payload 1 = died with a panicking
+    /// worker, 0 = still queued at an orderly teardown. Call it as the
+    /// winning [`ResponseSlot::fill_with`] publish hook.
+    fn count_discard(&self, seq: u64, panicked: bool) {
+        self.discarded.inc();
+        if let Some(rec) = &self.recorder {
+            rec.record(
+                Self::submit_ring(rec),
+                Stage::Discard,
+                seq,
+                u64::from(panicked),
+            );
+        }
+    }
+
+    /// The teardown sweep, shared by drain and by the supervisor retiring
+    /// the fleet's last slot: closes admission, then settles every job
+    /// still queued with `verdict` — [`ServeError::ShuttingDown`], or
+    /// [`ServeError::WorkerPanicked`] when the fleet died with its last
+    /// worker's panic — counted discarded. Cannot block: popping a closed
+    /// queue returns `None` once empty.
+    fn close_and_sweep(&self, verdict: &ServeError) {
+        self.queue.close();
+        let panicked = *verdict == ServeError::WorkerPanicked;
+        while let Some(job) = self.queue.pop(0) {
+            job.slot.fill_with(Err(verdict.clone()), || {
+                self.count_discard(job.seq, panicked)
+            });
+        }
     }
 
     /// Bring point-in-time gauges up to date before rendering metrics.
@@ -659,122 +634,9 @@ impl Shared {
     }
 }
 
-/// Decrements the live-worker count on scope exit (including unwinding),
-/// marks the slot's health, notifies the supervisor (if any), and — when
-/// the last worker of a fleet with no supervisor to revive it leaves —
-/// closes the queue and completes every stranded job with
-/// [`ServeError::ShuttingDown`].
-struct WorkerPresence<'a> {
-    shared: &'a Shared,
-    index: usize,
-    /// The slot generation this incarnation was spawned under. A watchdog
-    /// preemption bumps the slot's generation (and performs this guard's
-    /// bookkeeping itself), so a stale guard — the detached zombie finally
-    /// exiting — must do *nothing*: no live-count decrement, no health
-    /// write (a replacement may be serving), no exit notification (the
-    /// supervisor would try to join the replacement's handle and wedge).
-    generation: u64,
-    /// Supervised fleets only: the worker-exit notification channel. Held
-    /// by the guard so even a panic unwind reports the death.
-    exit_tx: Option<mpsc::Sender<usize>>,
-}
-
-impl Drop for WorkerPresence<'_> {
-    fn drop(&mut self) {
-        let lease = &self.shared.leases[self.index];
-        if lease.generation.load(Ordering::Acquire) != self.generation {
-            // Preempted incarnation: the watchdog already did all of this
-            // bookkeeping when it declared the hang. Vanish quietly.
-            return;
-        }
-        // Clear the lease so the watchdog never reads this incarnation's
-        // last stamp against a freshly restarted replacement (the job the
-        // ticket belonged to delivers its own verdict during unwind).
-        lease.stamp_ns.store(0, Ordering::Release);
-        *lease.current.lock() = None;
-        let last_out = self.shared.live_workers.fetch_sub(1, Ordering::AcqRel) == 1;
-        let terminal = !self.shared.supervised || self.shared.shutting_down.load(Ordering::Acquire);
-        self.shared.slot_health.lock()[self.index] = if terminal {
-            WorkerHealth::Dead
-        } else {
-            // The supervisor will restart or quarantine the slot.
-            WorkerHealth::Down
-        };
-        // The terminal fail-over sweep must not run on a supervised fleet
-        // mid-run: the queue cannot reopen, and the supervisor is about to
-        // bring a worker back to serve what is queued. If the whole fleet
-        // stays down (quarantine), the supervisor performs this sweep.
-        if last_out && terminal {
-            self.shared.queue.close();
-            // Dropping a job fills its response slot with ShuttingDown.
-            while self.shared.queue.pop(self.index).is_some() {}
-        }
-        if let Some(tx) = &self.exit_tx {
-            let _ = tx.send(self.index);
-        }
-    }
-}
-
-/// The job a worker currently holds, parked one declaration *above* the
-/// worker's [`WorkerPresence`] guard.
-///
-/// Ordering is the whole point: locals drop in reverse declaration order,
-/// so when a worker dies with a query in hand — injected panic, genuine
-/// kernel panic, or device crash — the presence guard (which marks the
-/// slot `Down` and notifies the supervisor) runs *before* this holder
-/// delivers the job's verdict. An observer that sees the ledger balance
-/// is therefore guaranteed the death itself is already registered; the
-/// chaos harness's await-settled step and [`ServeHandle::health`] rely on
-/// never finding a balanced ledger with an unregistered death behind it.
-#[derive(Default)]
-struct InFlightJob {
-    job: Option<Job>,
-    /// Set on an orderly error exit (device crash): the deferred drop
-    /// counts the job failed and delivers the real failure instead of a
-    /// generic teardown verdict.
-    verdict: Option<(ServeError, Counter)>,
-}
-
-impl InFlightJob {
-    fn park(&mut self, job: Job) {
-        self.job = Some(job);
-    }
-
-    /// Takes the job back into the worker's hands for normal completion.
-    fn unpark(&mut self) -> Job {
-        self.job.take().expect("a parked in-flight job")
-    }
-
-    fn samples(&self) -> &[i16] {
-        &self.job.as_ref().expect("a parked in-flight job").samples
-    }
-
-    /// Marks the parked job failed: when the holder drops — after the
-    /// presence guard has registered the worker's death — `failed` is
-    /// incremented and the waiter receives `error`. Deferring the counter
-    /// along with the verdict keeps the ledger from balancing while the
-    /// death is still unregistered.
-    fn fail(&mut self, error: ServeError, failed: &Counter) {
-        self.verdict = Some((error, failed.clone()));
-    }
-}
-
-impl Drop for InFlightJob {
-    fn drop(&mut self) {
-        if let Some(job) = self.job.take() {
-            match self.verdict.take() {
-                Some((error, failed)) => {
-                    // Count the failure only if this verdict actually
-                    // reached the waiter (a watchdog preemption may have
-                    // beaten it and counted the job already).
-                    job.complete_with(Err(error), || failed.inc());
-                }
-                // Panic unwind (or teardown with a job in hand): `Job`'s
-                // own drop classifies the death and counts the discard.
-                None => drop(job),
-            }
-        }
-    }
+/// A `Duration` as histogram nanoseconds, saturating at `u64::MAX`.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Aggregate serving statistics at a point in time.
@@ -848,7 +710,7 @@ pub struct ServeStats {
     /// Completed queries that exceeded the SLO target.
     pub slo_violations: u64,
     /// Dead workers the supervisor brought back on re-provisioned devices
-    /// (zero on unsupervised fleets). Not part of the accounting identity:
+    /// (zero without a restart policy). Not part of the accounting identity:
     /// restarts concern workers, not queries.
     pub restarts: u64,
     /// Workers the supervisor permanently quarantined (crash loop or
@@ -872,8 +734,8 @@ pub struct ServeStats {
     pub zombie_discards: u64,
     /// Per-slot worker health at snapshot time, in slot order.
     pub worker_health: Vec<WorkerHealth>,
-    /// Whether a supervisor owns this fleet (the Display health summary
-    /// is printed only for supervised fleets).
+    /// Whether the fleet restarts dead workers ([`ServeConfig::restart`]);
+    /// the Display health summary is printed only for such fleets.
     pub supervised: bool,
 }
 
@@ -917,7 +779,7 @@ impl fmt::Display for ServeStats {
             ms(self.compute_p99),
         )?;
         // Recovery line only when something recovered (or failed to): the
-        // common unsupervised rendering is unchanged.
+        // common rendering without recovery is unchanged.
         if self.restarts + self.quarantined + self.retried + self.hung > 0 {
             write!(
                 f,
@@ -1018,20 +880,12 @@ impl DrainedServe {
 /// behind an `Arc` or via scoped threads).
 pub struct ServeHandle {
     shared: Arc<Shared>,
-    runtime: Runtime,
+    /// The supervisor thread, which owns every worker's join handle and
+    /// reports one device-or-error per slot when it shuts down.
+    supervisor: JoinHandle<Vec<WorkerExit>>,
+    /// Drain-side sender for the supervisor's wake notice.
+    wake: mpsc::Sender<ExitNotice>,
     started: Instant,
-}
-
-/// How the fleet's worker threads are owned: directly by the handle, or
-/// by a supervisor thread that joins, restarts, and finally reports them.
-enum Runtime {
-    Direct(Vec<JoinHandle<Result<WorkerExit, ServeError>>>),
-    Supervised {
-        thread: JoinHandle<Vec<SlotReport>>,
-        /// Drain-side sender for the [`SUPERVISOR_WAKE`] sentinel.
-        wake: mpsc::Sender<usize>,
-        worker_count: usize,
-    },
 }
 
 impl fmt::Debug for ServeHandle {
@@ -1046,13 +900,13 @@ impl fmt::Debug for ServeHandle {
 
 impl ServeHandle {
     /// Provisions `workers` fresh devices (full preparation + initialization
-    /// against one vendor, like [`omg_core::session::Fleet::provision`])
+    /// against one vendor, see [`omg_core::session::provision_devices`])
     /// and starts a worker thread per device.
     ///
-    /// With [`ServeConfig::restart`] set, the fleet is **supervised**: the
-    /// provisioning arguments (and the warm model cache they built) are
-    /// retained by a supervisor thread that re-provisions replacement
-    /// devices for dead workers (see [`supervisor`]).
+    /// With [`ServeConfig::restart`] set, the provisioning arguments (and
+    /// the warm model cache they built) are retained by the supervisor,
+    /// which re-provisions replacement devices for dead workers (see
+    /// [`supervisor`]).
     ///
     /// # Errors
     ///
@@ -1068,33 +922,20 @@ impl ServeHandle {
         if workers == 0 {
             return Err(ServeError::Config("need at least one worker"));
         }
-        match config.restart.clone() {
-            None => {
-                let devices = provision_devices(workers, model_id, model, seed)?;
-                Self::start(devices, config)
-            }
-            Some(policy) => {
-                // Keep the cache the initial provisioning warmed:
-                // replacement devices reuse the same sealed-model image,
-                // making re-provisioning nearly free.
-                let mut cache = ModelCache::new();
-                let devices = provision_devices_with_cache(
-                    workers,
-                    model_id,
-                    model.clone(),
-                    seed,
-                    &mut cache,
-                )?;
-                let ctx = ReprovisionContext {
-                    model_id: model_id.to_owned(),
-                    model,
-                    seed,
-                    cache,
-                    replacements: 0,
-                };
-                Self::start_supervised(devices, config, policy, ctx)
-            }
-        }
+        // Replacement devices reuse the sealed-model image this cache
+        // holds, making re-provisioning nearly free.
+        let mut cache = ModelCache::new();
+        let devices =
+            provision_devices_with_cache(workers, model_id, model.clone(), seed, &mut cache)?;
+        let reprovision = config.restart.clone().map(|policy| ReprovisionContext {
+            policy,
+            model_id: model_id.to_owned(),
+            model,
+            seed,
+            cache,
+            replacements: 0,
+        });
+        Self::launch(devices, config, reprovision)
     }
 
     /// Starts the runtime over already provisioned devices (one worker
@@ -1112,68 +953,48 @@ impl ServeHandle {
                 "restart supervision needs the model to re-provision; use ServeHandle::provision",
             ));
         }
-        let shared = build_shared(devices.len(), &config, false)?;
-        let workers = devices
-            .into_iter()
-            .enumerate()
-            .map(|(index, device)| spawn_worker(index, device, &shared, None))
-            .collect();
-        Ok(ServeHandle {
-            shared,
-            runtime: Runtime::Direct(workers),
-            started: Instant::now(),
-        })
+        Self::launch(devices, config, None)
     }
 
-    /// Starts a supervised fleet: workers report their deaths to a
-    /// supervisor thread, which owns their join handles and the
-    /// re-provisioning context.
-    fn start_supervised(
+    /// Spawns a worker per device and the supervisor that owns them; with
+    /// `reprovision` set the supervisor restarts dead workers.
+    fn launch(
         devices: Vec<OmgDevice>,
         config: ServeConfig,
-        policy: RestartPolicy,
-        ctx: ReprovisionContext,
+        reprovision: Option<ReprovisionContext>,
     ) -> Result<ServeHandle, ServeError> {
-        let worker_count = devices.len();
-        let shared = build_shared(worker_count, &config, true)?;
+        let shared = build_shared(devices.len(), &config, reprovision.is_some())?;
         let (exit_tx, exit_rx) = mpsc::channel();
         let slots: Vec<SlotState> = devices
             .into_iter()
             .enumerate()
             .map(|(index, device)| {
-                SlotState::running(spawn_worker(index, device, &shared, Some(exit_tx.clone())))
+                SlotState::running(spawn_worker(index, device, &shared, exit_tx.clone()))
             })
             .collect();
         let sup = Supervisor {
             shared: Arc::clone(&shared),
-            policy,
+            reprovision,
             hang: config.hang.clone(),
-            ctx,
             slots,
             exit_tx: exit_tx.clone(),
         };
-        let thread = std::thread::Builder::new()
+        let supervisor = std::thread::Builder::new()
             .name("omg-serve-supervisor".to_owned())
             .spawn(move || sup.run(exit_rx))
             .expect("spawn supervisor thread");
         Ok(ServeHandle {
             shared,
-            runtime: Runtime::Supervised {
-                thread,
-                wake: exit_tx,
-                worker_count,
-            },
+            supervisor,
+            wake: exit_tx,
             started: Instant::now(),
         })
     }
 
-    /// Number of worker slots (the fleet's target capacity — under
-    /// supervision a slot's worker may be down or restarting right now).
+    /// Number of worker slots (the fleet's target capacity — a slot's
+    /// worker may be down or restarting right now).
     pub fn workers(&self) -> usize {
-        match &self.runtime {
-            Runtime::Direct(workers) => workers.len(),
-            Runtime::Supervised { worker_count, .. } => *worker_count,
-        }
+        self.shared.leases.len()
     }
 
     /// The fleet health state machine: `Healthy` (every slot live),
@@ -1309,9 +1130,6 @@ impl ServeHandle {
             submitted: Instant::now(),
             deadline,
             slot: Arc::clone(&slot),
-            resolved: false,
-            discarded: self.shared.discarded.clone(),
-            recorder: self.shared.recorder.clone(),
         };
         let recorder = self.shared.recorder.as_deref();
         match self.shared.queue.push(job) {
@@ -1327,21 +1145,20 @@ impl ServeHandle {
                 }
                 Ok(Pending { slot })
             }
-            Err(PushError::Full(job)) => {
+            // The error return is the waiter's answer; the bounced job's
+            // slot is never filled.
+            Err(PushError::Full(_)) => {
                 self.shared.rejected.inc();
                 if let Some(rec) = recorder {
                     rec.record_at(Shared::submit_ring(rec), Stage::Reject, seq, 0, submit_ns);
                 }
-                // The error return is the waiter's answer.
-                job.into_rejected();
                 Err(ServeError::Overloaded)
             }
-            Err(PushError::Closed(job)) => {
+            Err(PushError::Closed(_)) => {
                 self.shared.rejected.inc();
                 if let Some(rec) = recorder {
                     rec.record_at(Shared::submit_ring(rec), Stage::Reject, seq, 1, submit_ns);
                 }
-                job.into_rejected();
                 Err(ServeError::ShuttingDown)
             }
         }
@@ -1409,49 +1226,25 @@ impl ServeHandle {
     /// == submitted` holds exactly on the final snapshot.
     pub fn drain(self) -> DrainedServe {
         // Order matters: mark shutdown *before* closing the queue, so a
-        // supervised worker whose exit races the drain treats it as final
-        // and the supervisor restarts nothing from here on.
+        // worker whose exit races the drain is retired, not restarted.
         self.shared.shutting_down.store(true, Ordering::Release);
         self.shared.queue.close();
-        let (devices, worker_errors) = match self.runtime {
-            Runtime::Direct(handles) => {
-                let mut devices = Vec::with_capacity(handles.len());
-                let mut worker_errors = Vec::new();
-                for handle in handles {
-                    match handle.join() {
-                        Ok(Ok(exit)) => devices.push(exit.device),
-                        Ok(Err(e)) => worker_errors.push(e),
-                        Err(_) => worker_errors.push(ServeError::WorkerPanicked),
-                    }
-                }
-                (devices, worker_errors)
+        // Wake the supervisor out of its blocking receive; it joins every
+        // worker incarnation, settles what each died holding, and reports
+        // each slot as exactly one of device-or-error.
+        let _ = self.wake.send(supervisor::SUPERVISOR_WAKE);
+        let outcomes = self.supervisor.join().unwrap_or_default();
+        let mut devices = Vec::new();
+        let mut worker_errors = Vec::new();
+        for outcome in outcomes {
+            match outcome {
+                Ok(device) => devices.push(device),
+                Err(error) => worker_errors.push(error),
             }
-            Runtime::Supervised { thread, wake, .. } => {
-                // Wake the supervisor out of its blocking receive; it
-                // joins every worker incarnation and settles each slot
-                // into exactly one of device-or-error.
-                let _ = wake.send(SUPERVISOR_WAKE);
-                let reports = thread.join().unwrap_or_default();
-                let mut devices = Vec::new();
-                let mut worker_errors = Vec::new();
-                for report in reports {
-                    match (report.device, report.error) {
-                        (Some(device), _) => devices.push(device),
-                        (None, Some(error)) => worker_errors.push(error),
-                        // Unreachable by construction; never silently
-                        // shrink the conservation count if it regresses.
-                        (None, None) => worker_errors.push(ServeError::WorkerPanicked),
-                    }
-                }
-                (devices, worker_errors)
-            }
-        };
+        }
         // Straggler sweep: with every worker joined, anything still queued
-        // (e.g. pushes that raced the close) would otherwise be dropped
-        // silently with the queue. Popping resolves each stranded job's
-        // waiter (ShuttingDown) and counts it discarded; the loop cannot
-        // block because the queue is closed.
-        while self.shared.queue.pop(0).is_some() {}
+        // (e.g. pushes that raced the close) is settled here.
+        self.shared.close_and_sweep(&ServeError::ShuttingDown);
         let queued = self.shared.queue.len();
         let served_per_worker: Vec<u64> = self
             .shared
@@ -1479,12 +1272,20 @@ impl ServeHandle {
 fn snapshot_stats(shared: &Shared, started: Instant, workers: usize, queued: usize) -> ServeStats {
     let completed = shared.latency.count();
     let elapsed = started.elapsed();
-    // Each ladder comes from one coherent `quantiles` snapshot of its
+    // Each ladder comes from one coherent `quantiles_ns` snapshot of its
     // histogram, so every reported (p50, p95, p99) triple is monotone
     // even while workers record concurrently.
-    let (p50, p95, p99) = shared.latency.percentiles();
-    let (queue_p50, queue_p95, queue_p99) = shared.queue_wait.percentiles();
-    let (compute_p50, compute_p95, compute_p99) = shared.compute.percentiles();
+    let ladder = |h: &Histogram| {
+        let qs = h.quantiles_ns(&[0.50, 0.95, 0.99]);
+        (
+            Duration::from_nanos(qs[0]),
+            Duration::from_nanos(qs[1]),
+            Duration::from_nanos(qs[2]),
+        )
+    };
+    let (p50, p95, p99) = ladder(&shared.latency);
+    let (queue_p50, queue_p95, queue_p99) = ladder(&shared.queue_wait);
+    let (compute_p50, compute_p95, compute_p99) = ladder(&shared.compute);
     ServeStats {
         workers,
         submitted: shared.submitted.get(),
@@ -1499,8 +1300,8 @@ fn snapshot_stats(shared: &Shared, started: Instant, workers: usize, queued: usi
         p50,
         p95,
         p99,
-        mean: shared.latency.mean(),
-        max: shared.latency.max(),
+        mean: Duration::from_nanos(shared.latency.mean_ns()),
+        max: Duration::from_nanos(shared.latency.max_ns()),
         queue_p50,
         queue_p95,
         queue_p99,
@@ -1520,9 +1321,7 @@ fn snapshot_stats(shared: &Shared, started: Instant, workers: usize, queued: usi
 }
 
 /// Builds the shared runtime state — queue, metrics registry, recorder,
-/// health slots — for a fleet of `worker_count` workers. The single
-/// construction path behind both [`ServeHandle::start`] and the
-/// supervised starter.
+/// health slots — for a fleet of `worker_count` workers.
 fn build_shared(
     worker_count: usize,
     config: &ServeConfig,
@@ -1552,18 +1351,18 @@ fn build_shared(
     let recorder = (recorder_capacity > 0)
         .then(|| Arc::new(FlightRecorder::new(worker_count + 1, recorder_capacity)));
     let registry = Registry::new();
-    let latency = LatencyHistogram::from_shared(registry.histogram(
+    let latency = registry.histogram(
         "omg_serve_latency_seconds",
         "end-to-end submit-to-completion latency of successful queries",
-    ));
-    let queue_wait = LatencyHistogram::from_shared(registry.histogram(
+    );
+    let queue_wait = registry.histogram(
         "omg_serve_queue_wait_seconds",
         "admission-to-dequeue wait of every job a worker picked up",
-    ));
-    let compute = LatencyHistogram::from_shared(registry.histogram(
+    );
+    let compute = registry.histogram(
         "omg_serve_compute_seconds",
         "enclave compute time (classify + scrub) per served query",
-    ));
+    );
     let submitted = registry.counter(
         "omg_serve_submitted_total",
         "every submission attempt, admitted or bounced",
@@ -1600,10 +1399,10 @@ fn build_shared(
         "omg_serve_retried_total",
         "caller-side re-submissions via submit_with_retry",
     );
-    let time_to_recover = LatencyHistogram::from_shared(registry.histogram(
+    let time_to_recover = registry.histogram(
         "omg_serve_time_to_recover_seconds",
         "death-to-restart recovery time per supervised worker restart",
-    ));
+    );
     let hung = registry.counter(
         "omg_serve_hangs_total",
         "workers the liveness watchdog declared hung and preempted",
@@ -1612,10 +1411,10 @@ fn build_shared(
         "omg_serve_zombie_discards_total",
         "late publishes by preempted worker incarnations, discarded by generation check",
     );
-    let hang_detect = LatencyHistogram::from_shared(registry.histogram(
+    let hang_detect = registry.histogram(
         "omg_serve_hang_detect_seconds",
         "heartbeat-lease age at hang declaration (watchdog detection latency)",
-    ));
+    );
     let queued_gauge = registry.gauge("omg_serve_queued", "queries waiting in the admission queue");
     let workers_gauge = registry.gauge("omg_serve_workers_live", "worker threads still serving");
     let recorder_dropped = registry.gauge(
@@ -1657,18 +1456,35 @@ fn build_shared(
     }))
 }
 
-/// Spawns one worker thread serving `device` on queue shard `index`.
-/// `exit_tx` is the supervised fleets' death-notification channel.
+/// Spawns one worker thread serving `device` on queue shard `index`,
+/// under the slot's current lease generation.
+///
+/// The worker's only exit duty is the generation-gated exit notice: a
+/// panic is caught and returned as [`ServeError::WorkerPanicked`], and
+/// the notice tells the supervisor to join the thread, register the
+/// death, and settle the ticket the worker held. A preempted incarnation
+/// (the watchdog bumped the generation) sends nothing — its slot already
+/// belongs to a replacement.
 pub(crate) fn spawn_worker(
     index: usize,
     device: OmgDevice,
     shared: &Arc<Shared>,
-    exit_tx: Option<mpsc::Sender<usize>>,
-) -> JoinHandle<Result<WorkerExit, ServeError>> {
+    exit_tx: mpsc::Sender<ExitNotice>,
+) -> JoinHandle<WorkerExit> {
     let shared = Arc::clone(shared);
+    let generation = shared.leases[index].generation.load(Ordering::Acquire);
     std::thread::Builder::new()
         .name(format!("omg-serve-{index}"))
-        .spawn(move || worker_loop(index, device, &shared, exit_tx))
+        .spawn(move || {
+            let exit = panic::catch_unwind(AssertUnwindSafe(|| {
+                worker_loop(index, generation, device, &shared)
+            }))
+            .unwrap_or(Err(ServeError::WorkerPanicked));
+            if shared.leases[index].generation.load(Ordering::Acquire) == generation {
+                let _ = exit_tx.send((index, generation));
+            }
+            exit
+        })
         .expect("spawn serving worker")
 }
 
@@ -1677,35 +1493,20 @@ pub(crate) fn spawn_worker(
 ///
 /// Successive queries come from *different principals*, so the session is
 /// scrubbed after every query — no user's activations or audio features
-/// are resident while the next user's query runs (the hygiene
-/// [`omg_core::Fleet`] applies per dispatch).
+/// are resident while the next user's query runs.
+///
+/// A worker that dies mid-query (panic or device crash) leaves the query's
+/// ticket parked in its lease; the supervisor settles it after
+/// registering the death. Every lease renewal and stat publish is gated on
+/// `generation` still owning the slot, so a preempted (zombie) incarnation
+/// publishes nothing.
 fn worker_loop(
     index: usize,
+    generation: u64,
     mut device: OmgDevice,
     shared: &Shared,
-    exit_tx: Option<mpsc::Sender<usize>>,
-) -> Result<WorkerExit, ServeError> {
-    // Declared *before* the presence guard so it drops *after* it: a
-    // worker dying with a query in hand registers its death (slot marked,
-    // supervisor notified) before the held job's verdict — and its
-    // accounting — land. See `InFlightJob`.
-    let mut in_flight = InFlightJob::default();
-    // The slot generation this incarnation serves under. If the liveness
-    // watchdog preempts this worker, it bumps the slot's generation:
-    // every lease renewal, stat publish, and exit-bookkeeping path below
-    // is gated on the captured value still matching, so a preempted
-    // (zombie) incarnation publishes nothing.
+) -> WorkerExit {
     let lease = &shared.leases[index];
-    let generation = lease.generation.load(Ordering::Acquire);
-    // Runs on every exit path (error returns and panics alike): marks the
-    // slot's health, notifies the supervisor, and — without one — the
-    // last worker out fails over stranded jobs so waiters never deadlock.
-    let _presence = WorkerPresence {
-        shared,
-        index,
-        generation,
-        exit_tx,
-    };
     let clock = device.clock();
     // This worker's single-writer ring is its own index; recording is a
     // handful of relaxed stores, so the hot path pays one branch when the
@@ -1715,19 +1516,16 @@ fn worker_loop(
         let mut session = device.session()?;
         while let Some(job) = shared.queue.pop(index) {
             let wait = job.submitted.elapsed();
-            shared.queue_wait.record(wait);
+            shared.queue_wait.record_ns(nanos(wait));
             let (seq, deadline, submitted) = (job.seq, job.deadline, job.submitted);
             if let Some(rec) = recorder {
                 rec.record(index, Stage::Dequeue, seq, wait.as_nanos() as u64);
             }
-            // Heartbeat: the lease now carries this query's ticket, so a
-            // watchdog preemption can resolve it without touching the
-            // queue. Stamped unconditionally (two atomics); only the
+            // Heartbeat: the lease now carries this query's ticket, so the
+            // supervisor can settle it if this worker dies or wedges from
+            // here on. Stamped unconditionally (two atomics); only the
             // watchdog scan is gated on a HangPolicy being installed.
             lease.begin(generation, seq, &job.slot);
-            // Parked for the rest of the iteration: any death from here on
-            // (injected or genuine) registers before the verdict lands.
-            in_flight.park(job);
             // Fault hook. The pause gate is checked *after* popping, so a
             // parked worker holds exactly one job — scenarios prime the
             // queue with one job per worker before awaiting the gate,
@@ -1741,20 +1539,19 @@ fn worker_loop(
             };
             match fault {
                 Some(QueryFault::WorkerPanic) => {
-                    // The held job rides the unwind inside `in_flight`; its
-                    // waiter receives WorkerPanicked only after the presence
-                    // guard has registered the death (see `Job::drop`).
+                    // The parked ticket receives WorkerPanicked from the
+                    // supervisor, once it has registered the death.
                     panic!("injected fault: worker {index} panics mid-query (seq {seq})");
                 }
                 Some(QueryFault::DeviceCrash) => {
                     // The enclave is torn down through the scrub-on-release
-                    // path; the query in hand fails over to its waiter and
-                    // the worker exits as errored (its device is lost).
+                    // path and the worker exits as errored (its device is
+                    // lost); the supervisor fails the parked ticket with
+                    // this error.
                     session.crash_device()?;
                     if let Some(rec) = recorder {
                         rec.record(index, Stage::Reply, seq, u64::MAX);
                     }
-                    in_flight.fail(ServeError::Query(OmgError::DeviceCrashed), &shared.failed);
                     return Err(ServeError::Query(OmgError::DeviceCrashed));
                 }
                 Some(QueryFault::Delay(d)) => {
@@ -1793,16 +1590,14 @@ fn worker_loop(
             // so shed it instead of burning warm-enclave time on it.
             if let Some(deadline) = deadline {
                 if Instant::now() >= deadline {
-                    let won = in_flight
-                        .unpark()
-                        .complete_with(Err(ServeError::Expired), || {
-                            shared.shed.inc();
-                            // Stage of death: shed at dequeue, payload = how
-                            // long it sat queued before the deadline buried it.
-                            if let Some(rec) = recorder {
-                                rec.record(index, Stage::Shed, seq, wait.as_nanos() as u64);
-                            }
-                        });
+                    let won = job.slot.fill_with(Err(ServeError::Expired), || {
+                        shared.shed.inc();
+                        // Stage of death: shed at dequeue, payload = how
+                        // long it sat queued before the deadline buried it.
+                        if let Some(rec) = recorder {
+                            rec.record(index, Stage::Shed, seq, wait.as_nanos() as u64);
+                        }
+                    });
                     if !won {
                         shared.zombie_discards.inc();
                     }
@@ -1818,9 +1613,7 @@ fn worker_loop(
                 rec.record(index, Stage::ComputeStart, seq, 0);
             }
             let compute_start = Instant::now();
-            let result = session
-                .classify(in_flight.samples())
-                .map_err(ServeError::from);
+            let result = session.classify(&job.samples).map_err(ServeError::from);
             session.scrub();
             let compute = compute_start.elapsed();
             let latency = submitted.elapsed();
@@ -1846,10 +1639,10 @@ fn worker_loop(
             // also sees the counters — and a preempted incarnation whose
             // verdict lost the race to the watchdog publishes *nothing*
             // (its only trace is `zombie_discards`).
-            let won = in_flight.unpark().complete_with(result, || {
-                shared.compute.record(compute);
+            let won = job.slot.fill_with(result, || {
+                shared.compute.record_ns(nanos(compute));
                 if ok {
-                    shared.latency.record(latency);
+                    shared.latency.record_ns(nanos(latency));
                     // The slot's served counter, not a local: counts
                     // survive this incarnation's death and accumulate
                     // across restarts, so they always sum to `completed`.
@@ -1878,12 +1671,13 @@ fn worker_loop(
         // the thread: no activation residue outlives the runtime.
         session.finish()?;
     }
-    Ok(WorkerExit { device })
+    Ok(device)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omg_core::session::provision_devices;
     use omg_nn::model::{Activation, Op};
     use omg_nn::quantize::QuantParams;
     use omg_nn::tensor::DType;
@@ -2025,12 +1819,9 @@ mod tests {
             submitted: Instant::now(),
             deadline: None,
             slot: Arc::clone(&slot),
-            resolved: false,
-            discarded: Counter::new(),
-            recorder: None,
         };
         match shared.queue.push(job) {
-            Err(PushError::Closed(job)) => job.into_rejected(),
+            Err(PushError::Closed(_)) => {}
             other => panic!("expected Closed, got {other:?}"),
         }
     }
@@ -2929,7 +2720,8 @@ mod tests {
         // closed queue yields ShuttingDown, which must not be retried.
         let probe = ServeHandle {
             shared: Arc::clone(&shared),
-            runtime: Runtime::Direct(Vec::new()),
+            supervisor: std::thread::spawn(Vec::new),
+            wake: mpsc::channel().0,
             started: Instant::now(),
         };
         let before = shared.submitted.get();
@@ -3148,5 +2940,65 @@ mod tests {
         .unwrap();
         await_health(&handle, FleetHealth::Dead);
         assert!(!handle.drain().is_healthy());
+    }
+
+    #[test]
+    fn death_is_registered_before_the_held_ticket_resolves() {
+        // The supervisor settles a dead worker's ticket only after it has
+        // registered the death, so a waiter that sees the verdict sees the
+        // slot's new health and the bucket it was counted in — with no
+        // polling. Run without a restart policy (the slot retires Dead)
+        // and under a glacial restart (the slot reads Restarting until
+        // drain).
+        let data = omg_speech::dataset::SyntheticSpeechCommands::new(87);
+        let samples = data.utterance(2, 0).unwrap();
+        let glacial = RestartPolicy {
+            backoff_initial: Duration::from_secs(30),
+            backoff_max: Duration::from_secs(30),
+            ..RestartPolicy::default()
+        };
+        for restart in [None, Some(glacial)] {
+            for fault in [QueryFault::WorkerPanic, QueryFault::DeviceCrash] {
+                let plan = Arc::new(FaultPlan::new());
+                plan.fault_query(0, fault.clone());
+                let handle = ServeHandle::provision(
+                    1,
+                    ServeConfig {
+                        faults: Some(plan),
+                        restart: restart.clone(),
+                        ..ServeConfig::default()
+                    },
+                    "kws",
+                    test_model(),
+                    880,
+                )
+                .unwrap();
+                let verdict = handle.submit(&samples).unwrap().wait();
+                let health = handle.worker_health();
+                let stats = handle.stats();
+                let case = format!("{fault:?}, restart {:?}", restart.is_some());
+                assert_ne!(health[0], WorkerHealth::Live, "{case}");
+                if matches!(fault, QueryFault::WorkerPanic) {
+                    assert_eq!(verdict, Err(ServeError::WorkerPanicked), "{case}");
+                    assert_eq!((stats.discarded, stats.failed), (1, 0), "{case}");
+                } else {
+                    assert_eq!(
+                        verdict,
+                        Err(ServeError::Query(OmgError::DeviceCrashed)),
+                        "{case}"
+                    );
+                    assert_eq!((stats.discarded, stats.failed), (0, 1), "{case}");
+                }
+                let expected = if restart.is_some() {
+                    WorkerHealth::Restarting
+                } else {
+                    WorkerHealth::Dead
+                };
+                assert_eq!(health[0], expected, "{case}");
+                let drained = handle.drain();
+                assert_eq!(drained.stats.submitted, 1, "{case}");
+                assert_eq!(drained.worker_errors.len(), 1, "{case}");
+            }
+        }
     }
 }

@@ -1,16 +1,23 @@
-//! Self-healing supervision: restart policy, fleet health, caller retries.
+//! Supervision: the one owner of a fleet's workers, plus restart policy,
+//! fleet health, and caller retries.
 //!
-//! The serving runtime fails *cleanly* — a worker panic or device crash
-//! resolves every affected ticket and keeps the accounting identity exact —
-//! but without this module nothing ever *recovers*: a dead worker
-//! permanently shrinks the fleet. Supervision turns those terminal
-//! failures into transient ones:
+//! Every fleet runs one **supervisor thread**. Workers have a single exit
+//! duty — a notice naming their slot and lease generation — and the
+//! supervisor does the rest in one place (its `reap` step): it joins
+//! the exited worker, registers the death (slot health, live count,
+//! strikes, the restart-or-retire decision), and only then settles the
+//! ticket the worker died holding. A waiter that sees its verdict therefore
+//! sees the death already registered. Jobs still queued when the fleet
+//! goes terminally down are settled by one teardown sweep.
 //!
-//! * a **supervisor thread** (one per supervised fleet) joins each dead
-//!   worker, re-provisions a replacement device through the fleet's warm
-//!   [`omg_core::session::ModelCache`] image (the expensive preparation
-//!   work is shared, so a replacement is nearly free), and restarts the
-//!   worker on the same queue shard;
+//! Without a restart policy that is all it does: a dead slot retires as
+//! [`WorkerHealth::Dead`], and the fleet shrinks. Self-healing turns those
+//! terminal failures into transient ones:
+//!
+//! * the supervisor re-provisions a replacement device for each dead
+//!   worker through the fleet's warm [`omg_core::session::ModelCache`]
+//!   image (the expensive preparation work is shared, so a replacement is
+//!   nearly free), and restarts the worker on the same queue shard;
 //! * a [`RestartPolicy`] governs the loop: exponential backoff between
 //!   restarts, a per-worker restart budget, and **crash-loop detection**
 //!   that [quarantines](WorkerHealth::Quarantined) a flapping worker
@@ -27,13 +34,13 @@
 //!   **liveness watchdog**: it periodically scans every slot's heartbeat
 //!   lease and *preempts* a worker that stopped renewing — the wedged
 //!   thread is detached behind a per-slot generation token (its
-//!   late-waking publishes are discarded), its in-flight ticket resolves
-//!   with the retryable [`ServeError::Hung`], and the slot is
-//!   re-provisioned under the same [`RestartPolicy`] (hangs count as
-//!   strikes; repeat hangers quarantine). A hang thereby becomes just
-//!   another transient fault.
+//!   late-waking publishes and its exit notice are discarded), its
+//!   in-flight ticket resolves with the retryable [`ServeError::Hung`],
+//!   and the slot is re-provisioned under the same [`RestartPolicy`]
+//!   (hangs count as strikes; repeat hangers quarantine). A hang thereby
+//!   becomes just another transient fault.
 //!
-//! Supervision is enabled by setting `ServeConfig::restart` and starting
+//! Self-healing is enabled by setting `ServeConfig::restart` and starting
 //! the fleet through [`ServeHandle::provision`](crate::ServeHandle::provision)
 //! — re-provisioning needs the model and seed, so
 //! [`ServeHandle::start`](crate::ServeHandle::start) rejects the knob.
@@ -51,11 +58,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use omg_core::session::{provision_devices_with_cache, ModelCache};
-use omg_core::OmgDevice;
 use omg_nn::Model;
 use omg_obs::Stage;
 
-use crate::{spawn_worker, ServeError, Shared, WorkerExit};
+use crate::{nanos, spawn_worker, ServeError, Shared, WorkerExit};
 
 /// How the supervisor treats a dead worker: restart it (with backoff) or
 /// quarantine it once it looks like a crash loop.
@@ -251,8 +257,10 @@ impl RetryPolicy {
 pub enum WorkerHealth {
     /// The slot's worker thread is serving.
     Live,
-    /// The worker died; on a supervised fleet the supervisor has not yet
-    /// picked the death up (it will restart or quarantine the slot).
+    /// The worker died and its death is not yet registered. The
+    /// supervisor registers a death in one step (straight to
+    /// `Restarting`, `Quarantined` or `Dead`), so the runtime does not
+    /// report this state; it remains for callers that match on it.
     Down,
     /// The supervisor is between death and replacement: backing off or
     /// re-provisioning a device for this slot.
@@ -265,8 +273,8 @@ pub enum WorkerHealth {
     /// The supervisor gave up on the slot — crash loop or exhausted
     /// restart budget. Quarantined slots never restart.
     Quarantined,
-    /// The slot is terminally gone (unsupervised death, or exit during
-    /// drain).
+    /// The slot is terminally gone (death without a restart policy, or
+    /// exit during drain).
     Dead,
 }
 
@@ -286,8 +294,8 @@ pub enum FleetHealth {
     /// fleet (if any) keeps serving.
     Quarantined,
     /// No slot is live or coming back, and none was quarantined: the
-    /// fleet died outright (e.g. an unsupervised fleet losing every
-    /// worker).
+    /// fleet died outright (e.g. a fleet without a restart policy losing
+    /// every worker).
     Dead,
 }
 
@@ -321,9 +329,11 @@ pub(crate) fn fleet_health(slots: &[WorkerHealth]) -> FleetHealth {
     }
 }
 
-/// Everything the supervisor needs to provision a replacement device:
-/// the original provisioning arguments plus the fleet's warm model cache.
+/// Everything the supervisor needs to restart a dead worker: the restart
+/// policy, the original provisioning arguments, and the fleet's warm
+/// model cache.
 pub(crate) struct ReprovisionContext {
+    pub(crate) policy: RestartPolicy,
     pub(crate) model_id: String,
     pub(crate) model: Model,
     pub(crate) seed: u64,
@@ -335,13 +345,12 @@ pub(crate) struct ReprovisionContext {
 
 /// The supervisor's book-keeping for one worker slot.
 pub(crate) struct SlotState {
-    pub(crate) handle: Option<JoinHandle<Result<WorkerExit, ServeError>>>,
-    /// Device captured from a clean exit, returned at drain.
-    pub(crate) device: Option<OmgDevice>,
-    /// The slot's most recent terminal error. Cleared when a later
-    /// incarnation exits cleanly — restarted-over deaths are recovered,
-    /// not reported.
-    pub(crate) error: Option<ServeError>,
+    pub(crate) handle: Option<JoinHandle<WorkerExit>>,
+    /// How the slot's latest incarnation ended: its device after a clean
+    /// exit (returned at drain), or the slot's most recent terminal error.
+    /// A later incarnation's clean exit replaces an earlier error —
+    /// restarted-over deaths are recovered, not reported.
+    pub(crate) outcome: Option<WorkerExit>,
     pub(crate) restarts: u32,
     pub(crate) strikes: u32,
     /// Watchdog preemptions of this slot (the [`HangPolicy::max_hangs`]
@@ -354,11 +363,10 @@ pub(crate) struct SlotState {
 }
 
 impl SlotState {
-    pub(crate) fn running(handle: JoinHandle<Result<WorkerExit, ServeError>>) -> Self {
+    pub(crate) fn running(handle: JoinHandle<WorkerExit>) -> Self {
         SlotState {
             handle: Some(handle),
-            device: None,
-            error: None,
+            outcome: None,
             restarts: 0,
             strikes: 0,
             hangs: 0,
@@ -368,47 +376,51 @@ impl SlotState {
     }
 }
 
-/// One slot's final outcome, reported to [`crate::ServeHandle::drain`]:
-/// exactly one of `device` (clean exit) or `error` (terminal failure).
-pub(crate) struct SlotReport {
-    pub(crate) device: Option<OmgDevice>,
-    pub(crate) error: Option<ServeError>,
-}
+/// A worker's exit notice: its slot index and the lease generation it was
+/// spawned under.
+pub(crate) type ExitNotice = (usize, u64);
 
-/// Sentinel worker index drain sends to wake the supervisor out of its
-/// blocking receive. Real worker indices are bounded by the fleet size.
-pub(crate) const SUPERVISOR_WAKE: usize = usize::MAX;
+/// The notice drain sends to wake the supervisor out of its blocking
+/// receive. Real slot indices are bounded by the fleet size.
+pub(crate) const SUPERVISOR_WAKE: ExitNotice = (usize::MAX, 0);
 
 /// Slice length for interruptible backoff sleeps: drain never waits more
 /// than this behind a supervisor mid-backoff.
 const BACKOFF_SLICE: Duration = Duration::from_millis(5);
 
-/// The supervisor thread's state: owns every worker's join handle and the
-/// re-provisioning context.
+/// A slot the supervisor decided to restart: when its worker went down,
+/// and the strike count that sets the backoff.
+struct Restart {
+    down_at: Instant,
+    strikes: u32,
+}
+
+/// The supervisor thread's state: owns every worker's join handle and,
+/// on a self-healing fleet, the re-provisioning context.
 pub(crate) struct Supervisor {
     pub(crate) shared: Arc<Shared>,
-    pub(crate) policy: RestartPolicy,
+    /// `None`: never restart — dead slots retire as [`WorkerHealth::Dead`].
+    pub(crate) reprovision: Option<ReprovisionContext>,
     pub(crate) hang: Option<HangPolicy>,
-    pub(crate) ctx: ReprovisionContext,
     pub(crate) slots: Vec<SlotState>,
-    pub(crate) exit_tx: mpsc::Sender<usize>,
+    pub(crate) exit_tx: mpsc::Sender<ExitNotice>,
 }
 
 impl Supervisor {
-    /// The supervisor loop: block on worker-exit notifications, join the
-    /// dead worker, and restart or quarantine its slot per policy. With a
-    /// [`HangPolicy`] installed the blocking receive becomes a timed one,
-    /// and every timeout runs a watchdog scan over the heartbeat leases —
-    /// a wedged worker never sends an exit event, so hang detection is
-    /// purely scan-driven. On shutdown (drain's wake sentinel, or every
-    /// sender gone) joins every remaining incarnation and reports one
+    /// The supervisor loop: block on worker exit notices and
+    /// [reap](Self::reap) each exited worker. With a [`HangPolicy`]
+    /// installed the blocking receive becomes a timed one, and every
+    /// timeout runs a watchdog scan over the heartbeat leases — a wedged
+    /// worker never sends an exit notice, so hang detection is purely
+    /// scan-driven. On shutdown (drain's wake notice, or every sender
+    /// gone) reaps every remaining incarnation and reports one
     /// device-or-error per slot.
-    pub(crate) fn run(mut self, exit_rx: mpsc::Receiver<usize>) -> Vec<SlotReport> {
+    pub(crate) fn run(mut self, exit_rx: mpsc::Receiver<ExitNotice>) -> Vec<WorkerExit> {
         let scan_every = self.hang.as_ref().map(|h| h.scan_interval);
         while !self.shared.shutting_down.load(Ordering::Acquire) {
-            let index = match scan_every {
+            let (index, generation) = match scan_every {
                 Some(interval) => match exit_rx.recv_timeout(interval) {
-                    Ok(index) => index,
+                    Ok(notice) => notice,
                     Err(mpsc::RecvTimeoutError::Timeout) => {
                         self.scan_leases();
                         continue;
@@ -416,88 +428,134 @@ impl Supervisor {
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 },
                 None => match exit_rx.recv() {
-                    Ok(index) => index,
+                    Ok(notice) => notice,
                     Err(_) => break,
                 },
             };
-            if index == SUPERVISOR_WAKE || self.shared.shutting_down.load(Ordering::Acquire) {
+            if index == SUPERVISOR_WAKE.0 || self.shared.shutting_down.load(Ordering::Acquire) {
                 break;
             }
-            self.handle_death(index);
+            // A notice from an incarnation the watchdog has since preempted
+            // names a slot whose handle is now a replacement's: ignore it.
+            if generation != self.shared.leases[index].generation.load(Ordering::Acquire) {
+                continue;
+            }
+            if let Some(handle) = self.slots[index].handle.take() {
+                self.reap(index, handle);
+            }
         }
-        // Shutdown: the queue is closed (by drain or by a terminal
-        // quarantine), so every still-running incarnation exits once it
-        // drains; join them all and settle each slot's outcome.
+        // Shutdown: the queue is closed (by drain or by retiring the last
+        // slot), so every still-running incarnation exits once it drains.
+        for index in 0..self.slots.len() {
+            if let Some(handle) = self.slots[index].handle.take() {
+                self.reap(index, handle);
+            }
+        }
         self.slots
             .into_iter()
-            .map(|mut slot| {
-                if let Some(handle) = slot.handle.take() {
-                    match handle.join() {
-                        Ok(Ok(exit)) => {
-                            slot.device = Some(exit.device);
-                            slot.error = None;
-                        }
-                        Ok(Err(e)) => {
-                            slot.device = None;
-                            slot.error = Some(e);
-                        }
-                        Err(_) => {
-                            slot.device = None;
-                            slot.error = Some(ServeError::WorkerPanicked);
-                        }
-                    }
-                }
-                SlotReport {
-                    device: slot.device,
-                    error: slot.error,
-                }
-            })
+            .map(|slot| slot.outcome.unwrap_or(Err(ServeError::WorkerPanicked)))
             .collect()
     }
 
-    /// Handles one worker death end to end: join, classify, strike
-    /// accounting, then restart (after backoff, on a freshly provisioned
-    /// device) or quarantine.
-    fn handle_death(&mut self, index: usize) {
-        let Some(handle) = self.slots[index].handle.take() else {
-            return; // already settled (e.g. duplicate wake)
-        };
-        let error = match handle.join() {
-            Ok(Ok(exit)) => {
-                // A clean exit mid-run only follows a terminal queue
-                // close; keep the device for drain.
-                self.slots[index].device = Some(exit.device);
-                self.slots[index].error = None;
-                self.shared.slot_health.lock()[index] = WorkerHealth::Dead;
+    /// The single settle point for an exited worker incarnation. Joins
+    /// it, then, in this order:
+    ///
+    /// 1. registers the death — health, live count, strikes, and the
+    ///    restart-or-retire decision (retiring the fleet's last slot closes
+    ///    the queue and sweeps it);
+    /// 2. settles the ticket the worker died holding: a panic delivers
+    ///    [`ServeError::WorkerPanicked`] (counted discarded), an error exit
+    ///    delivers its error (counted failed);
+    /// 3. backs off and re-provisions, if the slot is to restart.
+    ///
+    /// An observer that sees a ticket resolved (or the ledger balance) is
+    /// therefore guaranteed to see the death already registered.
+    fn reap(&mut self, index: usize, handle: JoinHandle<WorkerExit>) {
+        let exit = handle.join().unwrap_or(Err(ServeError::WorkerPanicked));
+        self.shared.leases[index]
+            .stamp_ns
+            .store(0, Ordering::Release);
+        self.shared.live_workers.fetch_sub(1, Ordering::AcqRel);
+        let error = match exit {
+            Ok(device) => {
+                // A clean exit only follows a queue close; keep the device
+                // for drain.
+                self.slots[index].outcome = Some(Ok(device));
+                self.retire(index, WorkerHealth::Dead);
                 return;
             }
-            Ok(Err(e)) => e,
-            Err(_) => ServeError::WorkerPanicked,
+            Err(error) => error,
         };
+        self.slots[index].outcome = Some(Err(error.clone()));
+        let restart = if self.shared.shutting_down.load(Ordering::Acquire) {
+            self.retire(index, WorkerHealth::Dead);
+            None
+        } else {
+            if self.reprovision.is_some() {
+                if let Some(rec) = &self.shared.recorder {
+                    rec.record(
+                        Shared::submit_ring(rec),
+                        Stage::WorkerDown,
+                        index as u64,
+                        u64::from(error == ServeError::WorkerPanicked),
+                    );
+                }
+            }
+            self.decide(index, false)
+        };
+        self.settle_held(index, error);
+        if let Some(restart) = restart {
+            self.restart_slot(index, restart);
+        }
+    }
+
+    /// Strike accounting and the restart-or-retire decision for a slot
+    /// whose worker died (`hung == false`) or was preempted. Without a
+    /// restart policy the slot retires as [`WorkerHealth::Dead`]; with one
+    /// it is quarantined once its budgets run out, and otherwise marked
+    /// [`WorkerHealth::Restarting`] and returned for restart.
+    fn decide(&mut self, index: usize, hung: bool) -> Option<Restart> {
+        let Some(ctx) = &self.reprovision else {
+            self.retire(index, WorkerHealth::Dead);
+            return None;
+        };
+        let policy = &ctx.policy;
         let down_at = Instant::now();
-        // Strike accounting: a death after a stable run starts a fresh
-        // streak; a rapid death extends the current one.
-        if down_at.duration_since(self.slots[index].spawned_at) >= self.policy.stable_after {
-            self.slots[index].strikes = 0;
+        let slot = &mut self.slots[index];
+        // A death after a stable run starts a fresh streak; a rapid death
+        // extends the current one.
+        if down_at.duration_since(slot.spawned_at) >= policy.stable_after {
+            slot.strikes = 0;
         }
-        self.slots[index].strikes += 1;
-        let strikes = self.slots[index].strikes;
-        if let Some(rec) = &self.shared.recorder {
-            rec.record(
-                Shared::submit_ring(rec),
-                Stage::WorkerDown,
-                index as u64,
-                u64::from(matches!(error, ServeError::WorkerPanicked)),
-            );
-        }
-        self.slots[index].error = Some(error);
-        if self.slots[index].restarts >= self.policy.max_restarts
-            || strikes >= self.policy.crash_loop_threshold
+        slot.strikes += 1;
+        slot.hangs += u32::from(hung);
+        let strikes = slot.strikes;
+        let max_hangs = self.hang.as_ref().map_or(u32::MAX, |h| h.max_hangs);
+        if (hung && slot.hangs >= max_hangs)
+            || slot.restarts >= policy.max_restarts
+            || strikes >= policy.crash_loop_threshold
         {
             self.quarantine(index, strikes);
-            return;
+            return None;
         }
-        self.restart_slot(index, down_at, strikes);
+        self.shared.slot_health.lock()[index] = WorkerHealth::Restarting;
+        Some(Restart { down_at, strikes })
+    }
+
+    /// Settles the ticket parked in the slot's lease, if any, with
+    /// `verdict` — through the first-writer-wins latch, so a completion
+    /// that already landed keeps its result and nothing is counted twice.
+    fn settle_held(&self, index: usize, verdict: ServeError) {
+        let Some((seq, slot)) = self.shared.leases[index].current.lock().take() else {
+            return;
+        };
+        let shared = &self.shared;
+        let publish = || match &verdict {
+            ServeError::WorkerPanicked => shared.count_discard(seq, true),
+            ServeError::Hung => shared.discarded.inc(),
+            _ => shared.failed.inc(),
+        };
+        slot.fill_with(Err(verdict.clone()), publish);
     }
 
     /// Scans every live slot's heartbeat lease against the hang policy
@@ -506,9 +564,7 @@ impl Supervisor {
         let Some(policy) = self.hang.clone() else {
             return;
         };
-        let expiry_ns = (policy.lease_ttl + policy.grace)
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
+        let expiry_ns = nanos(policy.lease_ttl + policy.grace);
         let now = omg_obs::monotonic_ns();
         for index in 0..self.slots.len() {
             // Only Live slots carry a lease a worker should be renewing;
@@ -528,27 +584,19 @@ impl Supervisor {
     }
 
     /// Declares one slot hung: fences out the wedged incarnation behind a
-    /// fresh generation, resolves its in-flight ticket with the retryable
-    /// [`ServeError::Hung`], detaches (never joins) the wedged thread,
-    /// and hands the slot to strike accounting.
+    /// fresh generation, detaches (never joins) the wedged thread, and
+    /// registers the preemption like a death — then settles its in-flight
+    /// ticket with the retryable [`ServeError::Hung`] and restarts or
+    /// quarantines the slot, in the same order [`Self::reap`] keeps.
     fn declare_hang(&mut self, index: usize, age_ns: u64) {
         let lease = &self.shared.leases[index];
         // Generation bump FIRST: from here on, everything the zombie
-        // publishes — verdict, stats, its presence guard's exit
-        // bookkeeping — is discarded by generation check.
+        // publishes — verdict, stats, its exit notice — is discarded by
+        // generation check.
         lease.generation.fetch_add(1, Ordering::AcqRel);
         lease.stamp_ns.store(0, Ordering::Release);
-        // Resolve the wedged ticket. The response slot is first-writer-
-        // wins, so exactly one of {watchdog, late-waking zombie} counts
-        // the query: if our fill wins, the query is `discarded` (it died
-        // unserved); if the zombie somehow completed in the race window,
-        // its own publish won and we count nothing.
-        if let Some((_seq, slot)) = lease.current.lock().take() {
-            let discarded = &self.shared.discarded;
-            slot.fill_with(Err(ServeError::Hung), || discarded.inc());
-        }
         self.shared.hung.inc();
-        self.shared.hang_detect.record(Duration::from_nanos(age_ns));
+        self.shared.hang_detect.record_ns(age_ns);
         if let Some(rec) = &self.shared.recorder {
             rec.record(
                 Shared::submit_ring(rec),
@@ -557,60 +605,43 @@ impl Supervisor {
                 age_ns,
             );
         }
-        // The wedged thread no longer counts as serving. Its eventual
-        // exit is generation-gated and will NOT decrement again (nor
-        // send an exit event — joining the live replacement by mistake
-        // would wedge this very supervisor).
+        // The wedged thread no longer counts as serving.
         self.shared.live_workers.fetch_sub(1, Ordering::AcqRel);
         // Detach, never join: joining a wedged thread hangs the watchdog.
         drop(self.slots[index].handle.take());
         self.shared.slot_health.lock()[index] = WorkerHealth::Hung;
-        self.slots[index].error = Some(ServeError::Hung);
-        self.handle_hang(index);
-    }
-
-    /// Strike accounting for a preempted hang, then restart or
-    /// quarantine — the same policy arithmetic as a death, plus the
-    /// per-slot hang budget.
-    fn handle_hang(&mut self, index: usize) {
-        let down_at = Instant::now();
-        if down_at.duration_since(self.slots[index].spawned_at) >= self.policy.stable_after {
-            self.slots[index].strikes = 0;
+        self.slots[index].outcome = Some(Err(ServeError::Hung));
+        let restart = self.decide(index, true);
+        // First-writer-wins: if the zombie completed in the race window,
+        // its own publish won and the watchdog counts nothing.
+        self.settle_held(index, ServeError::Hung);
+        if let Some(restart) = restart {
+            self.restart_slot(index, restart);
         }
-        self.slots[index].strikes += 1;
-        self.slots[index].hangs += 1;
-        let strikes = self.slots[index].strikes;
-        let max_hangs = self.hang.as_ref().map_or(u32::MAX, |h| h.max_hangs);
-        if self.slots[index].hangs >= max_hangs
-            || self.slots[index].restarts >= self.policy.max_restarts
-            || strikes >= self.policy.crash_loop_threshold
-        {
-            self.quarantine(index, strikes);
-            return;
-        }
-        self.restart_slot(index, down_at, strikes);
     }
 
     /// Backs off (jittered, interruptibly), provisions a replacement
     /// device through the warm cache, and restarts the slot on it.
-    fn restart_slot(&mut self, index: usize, down_at: Instant, strikes: u32) {
-        self.shared.slot_health.lock()[index] = WorkerHealth::Restarting;
+    fn restart_slot(&mut self, index: usize, restart: Restart) {
+        let Some(ctx) = self.reprovision.as_mut() else {
+            return;
+        };
+        let slot = &mut self.slots[index];
         // Decorrelated-jitter backoff: the word is a pure function of
         // (fleet seed, slot, slot event count), so seeded runs replay
         // identically while simultaneous deaths de-synchronize. Slept in
         // short slices so a drain that begins mid-backoff is never stuck
         // behind the full sleep.
-        let events = u64::from(self.slots[index].restarts) + u64::from(self.slots[index].hangs) + 1;
+        let events = u64::from(slot.restarts) + u64::from(slot.hangs) + 1;
         let word = splitmix64(
-            self.ctx
-                .seed
+            ctx.seed
                 .wrapping_add(0x0042_4143_4b4f_4646_u64.wrapping_mul(index as u64 + 1))
                 .wrapping_add(events.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
-        let backoff = self
+        let backoff = ctx
             .policy
-            .jittered_backoff(strikes, self.slots[index].prev_backoff, word);
-        self.slots[index].prev_backoff = backoff;
+            .jittered_backoff(restart.strikes, slot.prev_backoff, word);
+        slot.prev_backoff = backoff;
         let mut remaining = backoff;
         while !remaining.is_zero() && !self.shared.shutting_down.load(Ordering::Acquire) {
             let slice = remaining.min(BACKOFF_SLICE);
@@ -620,70 +651,65 @@ impl Supervisor {
         if self.shared.shutting_down.load(Ordering::Acquire) {
             return; // the slot's error stands; drain reports it
         }
-        self.ctx.replacements += 1;
+        ctx.replacements += 1;
         // Deterministic and distinct per replacement: a seeded scenario
         // re-run provisions bit-identical replacement devices.
-        let replacement_seed = self
-            .ctx
+        let replacement_seed = ctx
             .seed
-            .wrapping_add(0x5245_5052_4f56u64.wrapping_mul(self.ctx.replacements));
+            .wrapping_add(0x5245_5052_4f56u64.wrapping_mul(ctx.replacements));
         match provision_devices_with_cache(
             1,
-            &self.ctx.model_id,
-            self.ctx.model.clone(),
+            &ctx.model_id,
+            ctx.model.clone(),
             replacement_seed,
-            &mut self.ctx.cache,
+            &mut ctx.cache,
         ) {
             Ok(mut devices) => {
                 let device = devices.pop().expect("asked for one device");
-                self.slots[index].restarts += 1;
-                self.slots[index].spawned_at = Instant::now();
+                slot.restarts += 1;
+                slot.spawned_at = Instant::now();
                 // Count the restart while the slot still reads Restarting:
                 // an observer that no longer sees the slot recovering must
                 // already see the restart in the stats (the chaos
                 // harness's await-settled step reads them right after).
                 self.shared.restarts.inc();
-                let recovered_in = down_at.elapsed();
-                self.shared.time_to_recover.record(recovered_in);
+                let recovered_in = restart.down_at.elapsed();
+                self.shared.time_to_recover.record_ns(nanos(recovered_in));
                 if let Some(rec) = &self.shared.recorder {
                     rec.record(
                         Shared::submit_ring(rec),
                         Stage::WorkerRestart,
                         index as u64,
-                        recovered_in.as_nanos() as u64,
+                        nanos(recovered_in),
                     );
                 }
-                // Mark live and bump the live count *before* the spawn:
-                // if the replacement dies instantly, its presence guard
-                // must observe a count that already includes it.
+                // Mark live and bump the live count *before* the spawn, so
+                // the count already includes a replacement that dies
+                // instantly when the supervisor reaps it.
                 self.shared.slot_health.lock()[index] = WorkerHealth::Live;
                 self.shared.live_workers.fetch_add(1, Ordering::AcqRel);
-                self.slots[index].handle = Some(spawn_worker(
+                slot.handle = Some(spawn_worker(
                     index,
                     device,
                     &self.shared,
-                    Some(self.exit_tx.clone()),
+                    self.exit_tx.clone(),
                 ));
             }
             Err(e) => {
                 // No replacement device to be had: the slot is done.
-                self.slots[index].error = Some(ServeError::from(e));
-                self.quarantine(index, strikes);
+                slot.outcome = Some(Err(ServeError::from(e)));
+                self.quarantine(index, restart.strikes);
             }
         }
     }
 
-    /// Permanently retires a slot. If that leaves nobody serving and
-    /// nobody coming back, the fleet is terminally down: close the queue
-    /// and fail over whatever is still queued — the last-man-out guard
-    /// deliberately leaves this to the supervisor on supervised fleets,
-    /// because a `Down` worker there may yet return.
+    /// Permanently retires a slot as quarantined (crash loop or exhausted
+    /// budget).
     fn quarantine(&mut self, index: usize, strikes: u32) {
         // Counter before slot state, for the same reason the restart path
         // counts before marking Live: once the slot stops reading as
         // recovering, its terminal outcome must already be in the stats.
         self.shared.quarantined.inc();
-        self.shared.slot_health.lock()[index] = WorkerHealth::Quarantined;
         if let Some(rec) = &self.shared.recorder {
             rec.record(
                 Shared::submit_ring(rec),
@@ -692,16 +718,32 @@ impl Supervisor {
                 u64::from(strikes),
             );
         }
-        let nobody_left = self
-            .shared
-            .slot_health
-            .lock()
+        self.retire(index, WorkerHealth::Quarantined);
+    }
+
+    /// Marks a slot terminally `health` (`Dead` or `Quarantined`). If that
+    /// leaves nobody serving and nobody coming back, the fleet is
+    /// terminally down: close the queue and settle whatever is still
+    /// queued — with [`ServeError::WorkerPanicked`] when the fleet died
+    /// with this slot's panic, [`ServeError::ShuttingDown`] otherwise.
+    fn retire(&mut self, index: usize, health: WorkerHealth) {
+        let mut slots = self.shared.slot_health.lock();
+        slots[index] = health;
+        let nobody_left = slots
             .iter()
             .all(|h| matches!(h, WorkerHealth::Quarantined | WorkerHealth::Dead));
+        drop(slots);
         if nobody_left {
-            self.shared.queue.close();
-            // Dropping a job fills its response slot with ShuttingDown.
-            while self.shared.queue.pop(index).is_some() {}
+            let died_panicking = health == WorkerHealth::Dead
+                && matches!(
+                    self.slots[index].outcome,
+                    Some(Err(ServeError::WorkerPanicked))
+                );
+            self.shared.close_and_sweep(if died_panicking {
+                &ServeError::WorkerPanicked
+            } else {
+                &ServeError::ShuttingDown
+            });
         }
     }
 }

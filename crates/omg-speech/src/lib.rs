@@ -5,8 +5,8 @@
 //! * [`wav`] — PCM16 mono WAV encoding/decoding (the Speech Commands
 //!   container format);
 //! * [`dataset`] — a deterministic synthetic Speech Commands corpus
-//!   (the real 105k-file dataset cannot be bundled; see `DESIGN.md` for the
-//!   substitution argument);
+//!   (the real 105k-file dataset cannot be bundled; see README.md,
+//!   "Substitutions and calibration", for the substitution argument);
 //! * [`fft`] — the 512-point q15 fixed-point FFT ("256 bin fixed point
 //!   FFT");
 //! * [`frontend`] — 30 ms windows, 20 ms shift, 6-bin averaging → 43

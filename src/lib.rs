@@ -56,8 +56,7 @@
 //! ```
 //!
 //! For bursts of queries, open a warm [`core::session::QuerySession`]
-//! instead of paying the park/resume cycle per utterance — and scale out
-//! with a [`core::session::Fleet`]:
+//! instead of paying the park/resume cycle per utterance:
 //!
 //! ```
 //! # use omg::core::device::{expected_enclave_measurement, OmgDevice};
@@ -101,9 +100,10 @@
 //! # Ok::<(), omg::core::OmgError>(())
 //! ```
 //!
-//! To serve many principals concurrently, put a [`serve::ServeHandle`]
-//! fleet in front: N provisioned devices on worker threads behind a
-//! bounded admission queue, with latency percentiles and graceful drain:
+//! To scale out and serve many principals concurrently, put a
+//! [`serve::ServeHandle`] fleet in front: N provisioned devices on worker
+//! threads behind a bounded admission queue, with latency percentiles and
+//! graceful drain:
 //!
 //! ```
 //! use omg::serve::{ServeConfig, ServeHandle};
